@@ -12,8 +12,8 @@
 //! point-level cache also makes the sweep resumable: a rerun (or a crash
 //! recovery) re-simulates only points that never completed.
 //!
-//! The sweep can route through any [`dse::EvalTier`] (full, trace-replay,
-//! interval); interval-tier runs can additionally validate a deterministic
+//! The sweep routes through either [`dse::EvalTier`] (full or interval);
+//! interval-tier runs can additionally validate a deterministic
 //! sample against full-fidelity reruns and emit a *tier report*
 //! (`dse_<spec>_tiers.json`) carrying the calibrated error distribution,
 //! points-per-CPU-hour, and the measured full-vs-tier speedup. Wall-clock

@@ -16,12 +16,7 @@
 //! configuration is a fast what-if study — note that the schedule is frozen
 //! at recording time, so PE-count changes are not meaningful in replay;
 //! cache, queue, latency and bandwidth changes are.
-//!
-//! Traces serialize to JSON through [`MultiplyTrace::to_json`] /
-//! [`MultiplyTrace::from_json`], so they can be exported for external
-//! analysis without any serialization dependency.
 
-use outerspace_json::Json;
 use outerspace_sparse::{Csc, Csr};
 
 use crate::config::OuterSpaceConfig;
@@ -73,71 +68,7 @@ pub struct MultiplyTrace {
     pub recorded_on: OuterSpaceConfig,
 }
 
-impl TraceRecord {
-    fn to_json(&self) -> Json {
-        match *self {
-            TraceRecord::PtrRead { tile, addr } => Json::Obj(vec![
-                ("kind".to_string(), Json::Str("ptr_read".to_string())),
-                ("tile".to_string(), Json::UInt(tile as u64)),
-                ("addr".to_string(), Json::UInt(addr)),
-            ]),
-            TraceRecord::Chunk { pe, tile, a_addr, b_addr, b_bytes, macs, store_addr } => {
-                Json::Obj(vec![
-                    ("kind".to_string(), Json::Str("chunk".to_string())),
-                    ("pe".to_string(), Json::UInt(pe as u64)),
-                    ("tile".to_string(), Json::UInt(tile as u64)),
-                    ("a_addr".to_string(), Json::UInt(a_addr)),
-                    ("b_addr".to_string(), Json::UInt(b_addr)),
-                    ("b_bytes".to_string(), Json::UInt(b_bytes)),
-                    ("macs".to_string(), Json::UInt(macs as u64)),
-                    ("store_addr".to_string(), Json::UInt(store_addr)),
-                ])
-            }
-        }
-    }
-
-    fn from_json(j: &Json) -> Option<TraceRecord> {
-        let u = |key: &str| j.get(key).and_then(Json::as_u64);
-        match j.get("kind")?.as_str()? {
-            "ptr_read" => Some(TraceRecord::PtrRead { tile: u("tile")? as u32, addr: u("addr")? }),
-            "chunk" => Some(TraceRecord::Chunk {
-                pe: u("pe")? as u32,
-                tile: u("tile")? as u32,
-                a_addr: u("a_addr")?,
-                b_addr: u("b_addr")?,
-                b_bytes: u("b_bytes")?,
-                macs: u("macs")? as u32,
-                store_addr: u("store_addr")?,
-            }),
-            _ => None,
-        }
-    }
-}
-
 impl MultiplyTrace {
-    /// Serializes the trace to a JSON value.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "records".to_string(),
-                Json::Arr(self.records.iter().map(TraceRecord::to_json).collect()),
-            ),
-            ("recorded_on".to_string(), outerspace_json::ToJson::to_json(&self.recorded_on)),
-        ])
-    }
-
-    /// Decodes a trace previously produced by [`MultiplyTrace::to_json`].
-    /// Returns `None` on any missing or mistyped field.
-    pub fn from_json(j: &Json) -> Option<MultiplyTrace> {
-        let records = j
-            .get("records")?
-            .as_array()?
-            .iter()
-            .map(TraceRecord::from_json)
-            .collect::<Option<Vec<_>>>()?;
-        let recorded_on = OuterSpaceConfig::from_json(j.get("recorded_on")?)?;
-        Some(MultiplyTrace { records, recorded_on })
-    }
     /// Number of chunk work items in the trace.
     pub fn chunk_count(&self) -> usize {
         self.records.iter().filter(|r| matches!(r, TraceRecord::Chunk { .. })).count()
@@ -306,18 +237,5 @@ mod tests {
         big.l0_multiply_bytes *= 8;
         let bigger = replay_multiply(&big, &trace);
         assert!(bigger.l0_hit_rate() >= base.l0_hit_rate());
-    }
-
-    #[test]
-    fn trace_round_trips_through_json() {
-        let cfg = OuterSpaceConfig::default();
-        let a = uniform::matrix(64, 64, 400, 6);
-        let (_, _, trace) = record_multiply(&cfg, &a.to_csc(), &a).unwrap();
-        let json = trace.to_json().to_string_compact();
-        let back = MultiplyTrace::from_json(&outerspace_json::parse(&json).unwrap()).unwrap();
-        assert_eq!(back, trace);
-        let s1 = replay_multiply(&cfg, &trace);
-        let s2 = replay_multiply(&cfg, &back);
-        assert_eq!(s1.cycles, s2.cycles);
     }
 }

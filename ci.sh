@@ -19,6 +19,14 @@ cargo test -q --offline
 echo "==> clippy (warnings are errors)"
 cargo clippy --offline --all-targets -- -D warnings
 
+echo "==> perfbench tests (metric tables, determinism, traced phase replay)"
+# The benchmark is a workspace of its own, so the suite above does not run
+# its tests. Its traced runs replay every simulated SpGEMM phase by phase
+# through the numeric SpArch planner (`spgemm_sparch_with_plan`) and must
+# equal `Simulator::spgemm`, whose timing models read the structural plan
+# (`sim::plan`): every CI run cross-checks the two plans.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> runall --smoke (tiny-scale sweep + injected-fault isolation gate)"
 SMOKE_OUT="$(mktemp -d)"
 trap 'rm -rf "$HERMETIC_CARGO_HOME" "$SMOKE_OUT"' EXIT

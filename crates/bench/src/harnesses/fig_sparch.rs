@@ -77,7 +77,7 @@ fn measure(kind: MachineKind, workload: &'static str, a: &Csr) -> CaseResult<Row
     let pipe = model::for_kind(kind).spgemm(&cfg, a, a).map_err(|e| e.to_string())?;
     let busy_share = pipe.multiply_breakdown.busy_cycles as f64
         / pipe.multiply_breakdown.total_pe_cycles().max(1) as f64;
-    let result_nnz = pipe.c.nnz() as u64;
+    let result_nnz = pipe.result_nnz;
     let report = SimReport {
         convert: pipe.convert,
         multiply: pipe.multiply,

@@ -156,7 +156,8 @@ pub(crate) fn price_metrics(
 
 /// Full-fidelity evaluation of one point on its pre-generated workload:
 /// the configured machine model's whole phase pipeline, priced by the
-/// Table 6 area/power model. Exactly the pre-tier executor's path.
+/// Table 6 area/power model. The models time the structural plan, so no
+/// numeric product is computed; the result size comes from the plan.
 pub(crate) fn simulate_full_tier(point: &DsePoint, a: &Csr) -> Result<Json, String> {
     let cfg = &point.config;
     let pipe = model::for_kind(cfg.machine)
@@ -173,7 +174,7 @@ pub(crate) fn simulate_full_tier(point: &DsePoint, a: &Csr) -> Result<Json, Stri
     price_metrics(
         point,
         &report,
-        pipe.c.nnz() as u64,
+        pipe.result_nnz,
         mult_bd.busy_cycles as f64 / mult_bd.total_pe_cycles().max(1) as f64,
         merge_bd.busy_cycles as f64 / merge_bd.total_pe_cycles().max(1) as f64,
         mult_bd.mean_channel_occupancy(),

@@ -8,7 +8,7 @@
 //! chained multiplications (`A × B × C…`) the cost is paid once, and for
 //! symmetric matrices it is skipped entirely since CR and CC coincide.
 
-use outerspace_sparse::{Csc, Csr, Index, Value};
+use outerspace_sparse::{Csc, Csr};
 
 /// Counters captured during a format conversion.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,46 +30,23 @@ pub struct ConversionStats {
 /// them), which is how the evaluation avoids charging conversion to the many
 /// symmetric SuiteSparse inputs.
 pub fn csr_to_csc_via_outer(a: &Csr) -> (Csc, ConversionStats) {
-    if a.nrows() == a.ncols() && a.is_symmetric() {
+    // Conversion-load scatters each row's (row, value) pairs into
+    // per-column lists, and conversion-merge gathers every column in row
+    // order. Rows stream in increasing order, so the lists arrive
+    // pre-sorted and the pair is a counting transpose — computed once here,
+    // and reused by the symmetry test.
+    let t = a.transpose();
+    if a.nrows() == a.ncols() && *a == t {
         let stats = ConversionStats { skipped_symmetric: true, ..Default::default() };
         return (a.clone().into_csc_transposed(), stats);
     }
-    let mut stats = ConversionStats {
+    let stats = ConversionStats {
         entries: a.nnz() as u64,
         bytes_read: 12 * a.nnz() as u64,
         bytes_written: 24 * a.nnz() as u64,
         skipped_symmetric: false,
     };
-
-    // Conversion-load: stream rows of A, scattering (row, value) pairs into
-    // per-column lists — one linked-list append per entry, exactly the
-    // multiply phase's write pattern with I as the left operand.
-    let n = a.ncols() as usize;
-    let mut col_lists: Vec<Vec<(Index, Value)>> = vec![Vec::new(); n];
-    for r in 0..a.nrows() {
-        let (cols, vals) = a.row(r);
-        for (&c, &v) in cols.iter().zip(vals) {
-            col_lists[c as usize].push((r, v));
-        }
-    }
-
-    // Conversion-merge: combine each column's pieces in row order. Rows were
-    // streamed in increasing order, so the lists are pre-sorted; the merge
-    // degenerates to a gather (the hardware still walks the lists).
-    let mut col_ptr = Vec::with_capacity(n + 1);
-    col_ptr.push(0usize);
-    let mut rows: Vec<Index> = Vec::with_capacity(a.nnz());
-    let mut vals: Vec<Value> = Vec::with_capacity(a.nnz());
-    for list in &col_lists {
-        debug_assert!(list.windows(2).all(|w| w[0].0 < w[1].0));
-        for &(r, v) in list {
-            rows.push(r);
-            vals.push(v);
-        }
-        col_ptr.push(rows.len());
-    }
-    stats.entries = a.nnz() as u64;
-    (Csc::from_raw_parts_unchecked(a.nrows(), a.ncols(), col_ptr, rows, vals), stats)
+    (t.into_csc_transposed(), stats)
 }
 
 #[cfg(test)]

@@ -70,7 +70,7 @@ pub use merge::{
 };
 pub use multiply::{multiply, multiply_parallel};
 pub use sparch::{
-    condense, spgemm_sparch, spgemm_sparch_with_plan, CondensedA, CondensedEntry,
+    condense, huffman_schedule, spgemm_sparch, spgemm_sparch_with_plan, CondensedA, CondensedEntry,
     SparchMergeOp, SparchPlan, DEFAULT_MERGE_WAYS,
 };
 pub use spgemm::{

@@ -13,8 +13,10 @@
 //! This module is the *functional* model: [`condense`] builds the condensed
 //! representation, [`spgemm_sparch`] computes the exact product through the
 //! condensed multiply + merge-tree pipeline, and [`SparchPlan`] records the
-//! stream sizes and the merge schedule so the timing model
-//! (`outerspace_sim::phases::sparch`) replays the very same dataflow.
+//! stream sizes and the merge schedule the timing model
+//! (`outerspace_sim::phases::sparch`) replays. [`huffman_schedule`] is the
+//! one scheduler every consumer runs; the simulator derives the identical
+//! plan from sparsity patterns alone (`outerspace_sim::plan`).
 
 use outerspace_sparse::{ops, Csr, Index, SparseError, Value};
 
@@ -198,14 +200,42 @@ fn stream_to_csr(stream: Stream, nrows: Index, ncols: Index) -> Csr {
     Csr::from_raw_parts_unchecked(nrows, ncols, row_ptr, cols, vals)
 }
 
+/// The SpArch merge scheduler (Huffman policy): while more than one stream
+/// remains, `merge` the `ways` smallest (ties broken by creation order:
+/// leaves in input order, then merge outputs in the order they were made).
+/// Returns the final stream, or `None` when there were no leaves.
+///
+/// Generic over the stream representation so every consumer runs the very
+/// same schedule: the numeric pipeline merges value streams, the structural
+/// planner merges leaf sets, the interval estimator merges bare sizes, and
+/// the merge-tree timing kernel merges placed streams.
+/// `merge` receives its inputs in selection order (smallest first).
+pub fn huffman_schedule<S>(
+    leaves: impl IntoIterator<Item = S>,
+    ways: usize,
+    len: impl Fn(&S) -> u64,
+    mut merge: impl FnMut(Vec<S>) -> S,
+) -> Option<S> {
+    let ways = ways.max(2);
+    let mut live: Vec<(u64, usize, S)> =
+        leaves.into_iter().enumerate().map(|(seq, s)| (len(&s), seq, s)).collect();
+    let mut seq = live.len();
+    while live.len() > 1 {
+        live.sort_by_key(|&(n, s, _)| (n, s));
+        let take = ways.min(live.len());
+        let merged = merge(live.drain(..take).map(|(_, _, s)| s).collect());
+        live.push((len(&merged), seq, merged));
+        seq += 1;
+    }
+    live.pop().map(|(_, _, s)| s)
+}
+
 /// Computes `C = A × B` through the SpArch pipeline with a `ways`-ary merge
 /// tree, returning the product and the dataflow plan the timing model
 /// replays.
 ///
-/// The scheduler is the Huffman policy: while more than one stream remains,
-/// merge the `ways` smallest (ties broken by creation order). When every
-/// leaf fits the tree at once (`width ≤ ways`) a single pass merges them
-/// all and nothing spills.
+/// The schedule is [`huffman_schedule`]. When every leaf fits the tree at
+/// once (`width ≤ ways`) a single pass merges them all and nothing spills.
 ///
 /// # Errors
 ///
@@ -216,33 +246,22 @@ pub fn spgemm_sparch_with_plan(
     ways: usize,
 ) -> Result<(Csr, SparchPlan), SparseError> {
     ops::check_spgemm_dims((a.nrows(), a.ncols()), (b.nrows(), b.ncols()))?;
-    let ways = ways.max(2);
     let condensed = condense(a);
-    let mut streams: Vec<Stream> =
+    let streams: Vec<Stream> =
         (0..condensed.width()).map(|k| leaf_stream(condensed.col(k), b)).collect();
     let leaf_elems: Vec<u64> = streams.iter().map(|s| s.len() as u64).collect();
-    let spilled = streams.len() > ways;
+    let spilled = streams.len() > ways.max(2);
 
-    // Work list of (elements, creation order, stream); the Huffman policy
-    // repeatedly merges the `ways` smallest. Selection sorts by (len, seq)
-    // so the schedule is deterministic.
-    let mut seq = streams.len();
-    let mut live: Vec<(usize, Stream)> = streams.drain(..).enumerate().collect();
     let mut ops = Vec::new();
-    while live.len() > 1 {
-        live.sort_by_key(|(s, st)| (st.len(), *s));
-        let take = ways.min(live.len());
-        let picked: Vec<(usize, Stream)> = live.drain(..take).collect();
-        let inputs: Vec<Stream> = picked.into_iter().map(|(_, st)| st).collect();
+    let final_stream = huffman_schedule(streams, ways, |s| s.len() as u64, |inputs| {
         let merged = merge_streams(&inputs);
         ops.push(SparchMergeOp {
             input_elems: inputs.iter().map(|s| s.len() as u64).collect(),
             out_elems: merged.len() as u64,
         });
-        live.push((seq, merged));
-        seq += 1;
-    }
-    let final_stream = live.pop().map(|(_, st)| st).unwrap_or_default();
+        merged
+    })
+    .unwrap_or_default();
     let result_nnz = final_stream.len() as u64;
     let c = stream_to_csr(final_stream, a.nrows(), b.ncols());
     let plan = SparchPlan {

@@ -13,8 +13,8 @@
 //!    Per-row output lengths come from stamp-array unions of `B`-row
 //!    patterns over `A`'s rows (a couple of machine ops per elementary
 //!    product, no allocation or sorting); the SpArch-analog merge schedule
-//!    is synthesised from exact structural leaf sizes by replaying the
-//!    planner's Huffman policy with a survival-rate shrink model fitted
+//!    is synthesised from exact structural leaf sizes by running the
+//!    planner's Huffman scheduler with a survival-rate shrink model fitted
 //!    (by bisection) so the final stream matches the structural result
 //!    estimate. The real merge kernels then replay that metadata exactly.
 //! 2. **Sampled work runs in the full run's regime, not a miniature of
@@ -68,6 +68,7 @@ use crate::phases::merge::RowMergeInfo;
 use crate::phases::multiply::MultiplyKernel;
 use crate::phases::sparch::{simulate_merge_tree, CondensedMultiplyKernel};
 use crate::phases::{convert, merge};
+use crate::plan::{self, StampUnion};
 use crate::stats::{PhaseStats, SimReport};
 
 /// A multiply window is "heavy" when it carries at least this many times
@@ -301,40 +302,6 @@ fn scale_stats(s: &PhaseStats, num: u64, den: u64) -> PhaseStats {
     }
 }
 
-/// Reusable stamp array for row-pattern unions: the output length of `C`'s
-/// row `i` is `|union over k in A.row(i) of pattern(B.row(k))|`, computed
-/// in O(produced_i) with no allocation per row.
-struct StampUnion {
-    stamp: Vec<u32>,
-    epoch: u32,
-}
-
-impl StampUnion {
-    fn new(ncols: Index) -> Self {
-        StampUnion { stamp: vec![0; ncols as usize], epoch: 0 }
-    }
-
-    fn row_out_len(&mut self, a_row_cols: &[Index], b: &Csr) -> u64 {
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        let mut out = 0u64;
-        for &k in a_row_cols {
-            let (cols, _) = b.row(k);
-            for &c in cols {
-                let slot = &mut self.stamp[c as usize];
-                if *slot != self.epoch {
-                    *slot = self.epoch;
-                    out += 1;
-                }
-            }
-        }
-        out
-    }
-}
-
 /// Every `stride`-th non-empty product row, with the elementary-product
 /// totals needed to extrapolate back to the full population.
 struct RowSample {
@@ -480,35 +447,24 @@ fn structural_merge_outerspace(
     })
 }
 
-/// Replays the SpArch planner's Huffman policy (`ways` smallest live
-/// streams, ties by creation order) over the structural leaf sizes, with a
-/// survival-rate shrink model for each op's output:
-/// `out = clamp(round(in * survival), max_input, in)`. Returns the ops and
-/// the final stream size.
+/// Runs the SpArch planner's [`outer::huffman_schedule`] over the
+/// structural leaf sizes, with a survival-rate shrink model for each op's
+/// output: `out = clamp(round(in * survival), max_input, in)`. Returns the
+/// ops and the final stream size.
 fn synth_sparch_ops(
     leaf_elems: &[u64],
     ways: usize,
     survival: f64,
 ) -> (Vec<SparchMergeOp>, u64) {
-    let mut live: Vec<(usize, u64)> =
-        leaf_elems.iter().enumerate().map(|(s, &e)| (s, e)).collect();
-    let mut seq = live.len();
     let mut ops = Vec::new();
-    while live.len() > 1 {
-        live.sort_by_key(|&(s, e)| (e, s));
-        let take = ways.min(live.len());
-        let picked: Vec<(usize, u64)> = live.drain(..take).collect();
-        let in_sum: u64 = picked.iter().map(|&(_, e)| e).sum();
-        let max_in: u64 = picked.iter().map(|&(_, e)| e).max().unwrap_or(0);
+    let fin = outer::huffman_schedule(leaf_elems.iter().copied(), ways, |&e| e, |picked| {
+        let in_sum: u64 = picked.iter().sum();
+        let max_in = picked.iter().copied().max().unwrap_or(0);
         let out = ((in_sum as f64 * survival).round() as u64).clamp(max_in, in_sum);
-        ops.push(SparchMergeOp {
-            input_elems: picked.iter().map(|&(_, e)| e).collect(),
-            out_elems: out,
-        });
-        live.push((seq, out));
-        seq += 1;
-    }
-    (ops, live.pop().map_or(0, |(_, e)| e))
+        ops.push(SparchMergeOp { input_elems: picked, out_elems: out });
+        out
+    });
+    (ops, fin.unwrap_or(0))
 }
 
 /// Bisects the survival rate so the synthetic schedule's final stream hits
@@ -536,8 +492,7 @@ fn fit_sparch_ops(leaf_elems: &[u64], ways: usize, target: u64) -> (Vec<SparchMe
 /// the condensed operand), the spill regime from the leaf count, and a
 /// synthetic Huffman schedule whose shrink rate is fitted to the
 /// structural result-size estimate. The real merge-tree kernel replays the
-/// synthetic plan — its internal selection re-derivation matches because
-/// the synthesis mirrors the planner's policy exactly.
+/// synthetic plan through the same scheduler.
 fn structural_merge_sparch(
     cfg: &OuterSpaceConfig,
     a: &Csr,
@@ -545,10 +500,7 @@ fn structural_merge_sparch(
     sample: &RowSample,
     stride: u32,
 ) -> Result<ExactPhases, SimError> {
-    let condensed = outer::condense(a);
-    let leaf_elems: Vec<u64> = (0..condensed.width())
-        .map(|k| condensed.col(k).iter().map(|e| b.row_nnz(e.col) as u64).sum())
-        .collect();
+    let leaf_elems = plan::sparch_leaf_elems(a, b);
     let ways = (cfg.merge_tree_ways as usize).max(2);
     let spilled = leaf_elems.len() > ways;
     let total_products: u64 = leaf_elems.iter().sum();
@@ -1010,7 +962,7 @@ mod tests {
             let cfg = OuterSpaceConfig { machine, ..OuterSpaceConfig::default() };
             let a = rmat::graph500(256, 3000, 5);
             let pipe = for_kind(machine).spgemm(&cfg, &a, &a).unwrap();
-            let exact_nnz = pipe.c.nnz() as u64;
+            let exact_nnz = pipe.result_nnz;
 
             // Stride 1 unions every row: OuterSPACE is exact; SpArch lands
             // within the shrink-model granularity of the exact count.
@@ -1111,9 +1063,9 @@ mod tests {
 
     #[test]
     fn synthetic_sparch_schedule_matches_planner_shape() {
-        // The synthetic Huffman replay must mirror the functional planner:
-        // same op count, same per-op input sizes when fed the real leaf
-        // sizes, and a final stream that hits the fitted target.
+        // Fed the real leaf sizes, the synthetic schedule has the real
+        // plan's shape (one scheduler serves both) and a final stream that
+        // hits the fitted target.
         let a = rmat::graph500(256, 3000, 29);
         let (_, plan) = outer::spgemm_sparch_with_plan(&a, &a, 16).unwrap();
         let (ops, fin) = fit_sparch_ops(&plan.leaf_elems, 16, plan.result_nnz);

@@ -16,10 +16,13 @@
 //!   streams CSR `A` directly; that saving is part of the design's win and
 //!   shows up as `convert: None` in every report.
 //!
-//! A model returns the full [`SpgemmPipeline`] — functional result, phase
-//! stats, and per-class [`CycleBreakdown`]s — so callers can build
+//! A model reads one structural plan ([`crate::plan`]) and computes no
+//! values: it returns an [`SpgemmPipeline`] — the result's non-zero count,
+//! phase stats, and per-class [`CycleBreakdown`]s — so callers can build
 //! [`SimReport`](crate::SimReport)s, energy estimates, and utilization
-//! plots without knowing which machine ran.
+//! plots without knowing which machine ran. Callers that want the numeric
+//! product compute it themselves, once, whichever machine is timed
+//! ([`Simulator`](crate::Simulator) does).
 
 use outerspace_outer as outer;
 use outerspace_sparse::{Csc, Csr};
@@ -29,14 +32,15 @@ use crate::engine::CycleBreakdown;
 use crate::error::SimError;
 use crate::phases::merge::RowMergeInfo;
 use crate::phases::{convert, merge, multiply, sparch};
+use crate::plan;
 use crate::stats::PhaseStats;
 
-/// Everything one SpGEMM run through a machine model produces: the
-/// functional product plus per-phase timing and attribution.
+/// Everything one SpGEMM timing run through a machine model produces:
+/// per-phase timing and attribution, plus the result's size.
 #[derive(Debug, Clone)]
 pub struct SpgemmPipeline {
-    /// The functional product `C = A × B`.
-    pub c: Csr,
+    /// Non-zeros of the product `C = A × B` (from structure).
+    pub result_nnz: u64,
     /// Conversion-phase stats, when the machine charged one.
     pub convert: Option<PhaseStats>,
     /// Multiply-phase stats.
@@ -51,62 +55,91 @@ pub struct SpgemmPipeline {
 
 /// A machine model: owns the phase pipeline (which kernels run, in what
 /// order, with which memory scripts) for one simulated design.
+///
+/// Operand shapes must already be validated (`a.ncols() == b.nrows()`) for
+/// every method.
 pub trait MachineModel: std::fmt::Debug + Sync {
     /// Which machine this is.
     fn kind(&self) -> MachineKind;
 
-    /// Runs the full SpGEMM pipeline on CR operands, charging whatever
-    /// preprocessing the machine needs (OuterSPACE: format conversion for
-    /// asymmetric `A`; SpArch: nothing).
-    ///
-    /// Operand shapes must already be validated (`a.ncols() == b.nrows()`).
+    /// Times the pipeline with `A` at hand in both formats (`a_cc` is the
+    /// CC form of `a`). `charge_convert` says whether the run pays the
+    /// CR → CC conversion; a machine without a conversion phase ignores it.
     ///
     /// # Errors
     ///
     /// Fault injection only: every PE dead, an access out of retries, or a
     /// watchdog timeout ([`SimError`]).
-    fn spgemm(&self, cfg: &OuterSpaceConfig, a: &Csr, b: &Csr)
-        -> Result<SpgemmPipeline, SimError>;
+    fn spgemm_prepared(
+        &self,
+        cfg: &OuterSpaceConfig,
+        a: &Csr,
+        a_cc: &Csc,
+        b: &Csr,
+        charge_convert: bool,
+    ) -> Result<SpgemmPipeline, SimError>;
 
-    /// Runs the pipeline with `A` already in the machine's preferred
+    /// Times the pipeline on CR operands, charging whatever preprocessing
+    /// the machine needs (OuterSPACE: format conversion for asymmetric
+    /// `A`, as §7.1 does; SpArch: nothing).
+    ///
+    /// # Errors
+    ///
+    /// As [`MachineModel::spgemm_prepared`].
+    fn spgemm(&self, cfg: &OuterSpaceConfig, a: &Csr, b: &Csr)
+        -> Result<SpgemmPipeline, SimError> {
+        let (a_cc, conv) = outer::csr_to_csc_via_outer(a);
+        self.spgemm_prepared(cfg, a, &a_cc, b, !conv.skipped_symmetric)
+    }
+
+    /// Times the pipeline with `A` already in the machine's preferred
     /// operand format — the steady state of chained multiplications. No
     /// preprocessing is charged.
     ///
     /// # Errors
     ///
-    /// As [`MachineModel::spgemm`].
+    /// As [`MachineModel::spgemm_prepared`].
     fn spgemm_preconverted(
         &self,
         cfg: &OuterSpaceConfig,
         a_cc: &Csc,
         b: &Csr,
-    ) -> Result<SpgemmPipeline, SimError>;
+    ) -> Result<SpgemmPipeline, SimError> {
+        self.spgemm_prepared(cfg, &a_cc.to_csr(), a_cc, b, false)
+    }
 }
 
 /// The OuterSPACE pipeline (§4–§5 of the paper).
 #[derive(Debug)]
 pub struct OuterSpaceModel;
 
-impl OuterSpaceModel {
-    fn run(
+impl MachineModel for OuterSpaceModel {
+    fn kind(&self) -> MachineKind {
+        MachineKind::OuterSpace
+    }
+
+    fn spgemm_prepared(
         &self,
         cfg: &OuterSpaceConfig,
+        a: &Csr,
         a_cc: &Csc,
         b: &Csr,
-        convert: Option<PhaseStats>,
+        charge_convert: bool,
     ) -> Result<SpgemmPipeline, SimError> {
-        // Functional execution (the result and per-row merge shapes).
-        let (pp, _) = outer::multiply(a_cc, b)?;
-        let (c, _) = outer::merge(pp, outer::MergeKind::Streaming);
-
-        // Timing.
+        // §7.1: conversion is charged for non-symmetric matrices to model
+        // the worst case; symmetric operands already are their own CC form.
+        let convert =
+            if charge_convert { Some(convert::simulate_convert(cfg, a)?) } else { None };
         let (multiply, intermediate, multiply_breakdown) =
             multiply::simulate_multiply_with_breakdown(cfg, a_cc, b)?;
+        // Per-row merge shapes: chunk lengths from the multiply layout,
+        // output lengths from pattern unions.
+        let out_lens = plan::row_out_lens(a, b)?;
         let rows: Vec<RowMergeInfo> = (0..intermediate.nrows())
             .map(|i| {
                 let produced: u64 =
                     intermediate.row(i).iter().map(|ch| ch.len as u64).sum();
-                let out = c.row_nnz(i) as u64;
+                let out = out_lens[i as usize];
                 RowMergeInfo {
                     out_len: out as u32,
                     collisions: produced.saturating_sub(out) as u32,
@@ -115,39 +148,14 @@ impl OuterSpaceModel {
             .collect();
         let (merge, merge_breakdown) =
             merge::simulate_merge_with_breakdown(cfg, &intermediate, &rows)?;
-        Ok(SpgemmPipeline { c, convert, multiply, merge, multiply_breakdown, merge_breakdown })
-    }
-}
-
-impl MachineModel for OuterSpaceModel {
-    fn kind(&self) -> MachineKind {
-        MachineKind::OuterSpace
-    }
-
-    fn spgemm(
-        &self,
-        cfg: &OuterSpaceConfig,
-        a: &Csr,
-        b: &Csr,
-    ) -> Result<SpgemmPipeline, SimError> {
-        // §7.1: conversion is charged for non-symmetric matrices to model
-        // the worst case; symmetric operands already are their own CC form.
-        let (a_cc, conv_soft) = outer::csr_to_csc_via_outer(a);
-        let convert_stats = if conv_soft.skipped_symmetric {
-            None
-        } else {
-            Some(convert::simulate_convert(cfg, a)?)
-        };
-        self.run(cfg, &a_cc, b, convert_stats)
-    }
-
-    fn spgemm_preconverted(
-        &self,
-        cfg: &OuterSpaceConfig,
-        a_cc: &Csc,
-        b: &Csr,
-    ) -> Result<SpgemmPipeline, SimError> {
-        self.run(cfg, a_cc, b, None)
+        Ok(SpgemmPipeline {
+            result_nnz: out_lens.iter().sum(),
+            convert,
+            multiply,
+            merge,
+            multiply_breakdown,
+            merge_breakdown,
+        })
     }
 }
 
@@ -158,16 +166,15 @@ pub struct SpArchModel;
 
 impl SpArchModel {
     fn run(&self, cfg: &OuterSpaceConfig, a: &Csr, b: &Csr) -> Result<SpgemmPipeline, SimError> {
-        // Functional execution records the dataflow plan the timing model
-        // replays: leaf stream sizes plus the Huffman merge schedule.
-        let (c, plan) =
-            outer::spgemm_sparch_with_plan(a, b, cfg.merge_tree_ways as usize)?;
+        // The dataflow the timing models replay: leaf stream sizes plus
+        // the Huffman merge schedule, from structure alone.
+        let plan = plan::sparch_plan(a, b, cfg.merge_tree_ways as usize)?;
         let condensed = outer::condense(a);
         let (multiply, multiply_breakdown) =
             sparch::simulate_condensed_multiply(cfg, &condensed, b, &plan)?;
         let (merge, merge_breakdown) = sparch::simulate_merge_tree(cfg, &plan)?;
         Ok(SpgemmPipeline {
-            c,
+            result_nnz: plan.result_nnz,
             convert: None,
             multiply,
             merge,
@@ -182,6 +189,19 @@ impl MachineModel for SpArchModel {
         MachineKind::SpArch
     }
 
+    // SpArch condenses CSR `A` directly: the CC form is never read, and no
+    // phase is charged for it either way.
+    fn spgemm_prepared(
+        &self,
+        cfg: &OuterSpaceConfig,
+        a: &Csr,
+        _a_cc: &Csc,
+        b: &Csr,
+        _charge_convert: bool,
+    ) -> Result<SpgemmPipeline, SimError> {
+        self.run(cfg, a, b)
+    }
+
     fn spgemm(
         &self,
         cfg: &OuterSpaceConfig,
@@ -189,17 +209,6 @@ impl MachineModel for SpArchModel {
         b: &Csr,
     ) -> Result<SpgemmPipeline, SimError> {
         self.run(cfg, a, b)
-    }
-
-    fn spgemm_preconverted(
-        &self,
-        cfg: &OuterSpaceConfig,
-        a_cc: &Csc,
-        b: &Csr,
-    ) -> Result<SpgemmPipeline, SimError> {
-        // SpArch condenses CSR directly; a CC operand is simply handed back
-        // in row form (no phase is charged either way).
-        self.run(cfg, &a_cc.to_csr(), b)
     }
 }
 
@@ -224,13 +233,15 @@ mod tests {
     fn both_machines_compute_the_same_product() {
         let a = uniform::matrix(96, 96, 900, 31);
         let b = uniform::matrix(96, 96, 900, 32);
-        let cfg = OuterSpaceConfig::default();
         let want = ops::spgemm_reference(&a, &b).unwrap();
         for kind in [MachineKind::OuterSpace, MachineKind::SpArch] {
+            let cfg = OuterSpaceConfig { machine: kind, ..OuterSpaceConfig::default() };
             let model = for_kind(kind);
             assert_eq!(model.kind(), kind);
             let pipe = model.spgemm(&cfg, &a, &b).unwrap();
-            assert!(pipe.c.approx_eq(&want, 1e-9), "{kind} product diverged");
+            assert_eq!(pipe.result_nnz, want.nnz() as u64, "{kind} result size diverged");
+            let (c, _) = crate::Simulator::new(cfg).unwrap().spgemm(&a, &b).unwrap();
+            assert!(c.approx_eq(&want, 1e-9), "{kind} product diverged");
             assert!(pipe.multiply.cycles > 0);
             assert!(pipe.merge.cycles > 0);
         }
@@ -257,7 +268,9 @@ mod tests {
             let direct = model.spgemm(&cfg, &a, &b).unwrap();
             let pre = model.spgemm_preconverted(&cfg, &a.to_csc(), &b).unwrap();
             assert!(pre.convert.is_none());
-            assert!(pre.c.approx_eq(&direct.c, 1e-9));
+            assert_eq!(pre.result_nnz, direct.result_nnz);
+            assert_eq!(pre.multiply, direct.multiply);
+            assert_eq!(pre.merge, direct.merge);
         }
     }
 

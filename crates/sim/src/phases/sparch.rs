@@ -23,7 +23,7 @@
 //! fault hooks (the engine applies PE kills and the memory fault model the
 //! same way it does for the OuterSPACE kernels).
 
-use outerspace_outer::{CondensedA, SparchPlan};
+use outerspace_outer::{huffman_schedule, CondensedA, SparchPlan};
 use outerspace_sparse::Csr;
 
 use crate::config::OuterSpaceConfig;
@@ -183,57 +183,70 @@ pub(crate) struct TreeOpItem {
 /// Engine kernel replaying a [`SparchPlan`]'s Huffman schedule on one
 /// merge-tree unit.
 ///
-/// The scheduler state is reconstructed exactly as the functional planner
-/// built it: live streams ordered by `(elements, creation order)`, the
-/// `ways` smallest merged first. Leaf streams sit in the intermediate arena
-/// (when spilled), intermediate runs bounce through the scratch arena, and
-/// the final op writes the result matrix.
+/// The schedule is rebuilt with the planner's own [`huffman_schedule`]
+/// over the plan's stream sizes, which places every stream: leaf streams
+/// sit in the intermediate arena (when spilled), intermediate runs bounce
+/// through the scratch arena, and the final op writes the result matrix.
 #[derive(Debug)]
-pub(crate) struct MergeTreeKernel<'a> {
-    plan: &'a SparchPlan,
-    ways: usize,
+pub(crate) struct MergeTreeKernel {
+    /// One item per plan op, in execution order.
+    items: std::vec::IntoIter<TreeOpItem>,
     depth: u64,
     throughput: u64,
-    /// Live streams: `(creation seq, elements, Some(addr) when in DRAM)`.
-    live: Vec<(usize, u64, Option<u64>)>,
-    seq: usize,
-    op: usize,
-    scratch_cursor: u64,
     flops: u64,
     work_items: u64,
 }
 
-impl<'a> MergeTreeKernel<'a> {
+impl MergeTreeKernel {
     /// A kernel replaying `plan` at the configured tree arity.
-    pub(crate) fn new(cfg: &OuterSpaceConfig, plan: &'a SparchPlan) -> Self {
+    pub(crate) fn new(cfg: &OuterSpaceConfig, plan: &SparchPlan) -> Self {
         let ways = (cfg.merge_tree_ways as usize).max(2);
+        // A stream is its element count and, when it sits in DRAM, its
+        // address.
         let mut cursor = INTER_BASE;
-        let live = plan
-            .leaf_elems
-            .iter()
-            .enumerate()
-            .map(|(s, &elems)| {
-                let addr = plan.spilled.then_some(cursor);
-                cursor += elems * ELEM_BYTES;
-                (s, elems, addr)
-            })
-            .collect();
+        let leaves = plan.leaf_elems.iter().map(|&elems| {
+            let addr = plan.spilled.then_some(cursor);
+            cursor += elems * ELEM_BYTES;
+            (elems, addr)
+        });
+        let mut ops = plan.ops.iter();
+        let mut scratch_cursor = SCRATCH_BASE;
+        let mut items = Vec::with_capacity(plan.ops.len());
+        huffman_schedule(leaves, ways, |s| s.0, |picked| {
+            let op = ops.next().expect("a plan holds one op per scheduled merge");
+            let last = ops.len() == 0;
+            let in_elems: u64 = picked.iter().map(|s| s.0).sum();
+            debug_assert_eq!(
+                in_elems,
+                op.input_elems.iter().sum::<u64>(),
+                "timing replay diverged from the functional schedule"
+            );
+            let reads = picked
+                .iter()
+                .filter_map(|&(elems, addr)| Some((addr?, elems * ELEM_BYTES)))
+                .collect();
+            let out_addr = if last {
+                OUT_BASE
+            } else {
+                let addr = scratch_cursor;
+                scratch_cursor += op.out_elems * ELEM_BYTES;
+                addr
+            };
+            items.push(TreeOpItem { reads, in_elems, out_addr, out_elems: op.out_elems });
+            // Every non-final run spills: a later op re-reads it from scratch.
+            (op.out_elems, (!last).then_some(out_addr))
+        });
         MergeTreeKernel {
-            plan,
-            ways,
+            items: items.into_iter(),
             depth: (usize::BITS - ways.leading_zeros()) as u64,
             throughput: cfg.merge_tree_throughput(),
-            live,
-            seq: plan.leaf_elems.len(),
-            op: 0,
-            scratch_cursor: SCRATCH_BASE,
             flops: 0,
             work_items: 0,
         }
     }
 }
 
-impl PhaseKernel for MergeTreeKernel<'_> {
+impl PhaseKernel for MergeTreeKernel {
     type Item = TreeOpItem;
 
     fn phase(&self) -> &'static str {
@@ -245,40 +258,11 @@ impl PhaseKernel for MergeTreeKernel<'_> {
     }
 
     fn next(&mut self, _fb: &Feedback) -> Step<TreeOpItem> {
-        let Some(op) = self.plan.ops.get(self.op) else {
+        let Some(item) = self.items.next() else {
             return Step::Done;
         };
-        self.op += 1;
-        let last = self.op == self.plan.ops.len();
-
-        // Re-run the planner's selection: the `ways` smallest live streams,
-        // ties broken by creation order.
-        self.live.sort_by_key(|&(s, elems, _)| (elems, s));
-        let take = self.ways.min(self.live.len());
-        let picked: Vec<(usize, u64, Option<u64>)> = self.live.drain(..take).collect();
-        debug_assert_eq!(
-            picked.iter().map(|&(_, e, _)| e).sum::<u64>(),
-            op.input_elems.iter().sum::<u64>(),
-            "timing replay diverged from the functional schedule"
-        );
-        let in_elems: u64 = picked.iter().map(|&(_, e, _)| e).sum();
-        let reads = picked
-            .iter()
-            .filter_map(|&(_, elems, addr)| Some((addr?, elems * ELEM_BYTES)))
-            .collect();
-        let out_addr = if last {
-            OUT_BASE
-        } else {
-            let addr = self.scratch_cursor;
-            self.scratch_cursor += op.out_elems * ELEM_BYTES;
-            addr
-        };
-        // Every non-final run spills: a later op re-reads it from scratch.
-        self.live.push((self.seq, op.out_elems, (!last).then_some(out_addr)));
-        self.seq += 1;
-        self.flops += op.collisions();
+        self.flops += item.in_elems.saturating_sub(item.out_elems);
         self.work_items += 1;
-        let item = TreeOpItem { reads, in_elems, out_addr, out_elems: op.out_elems };
         Step::Batch(Batch { items: vec![item], min_start: 0 })
     }
 

@@ -36,15 +36,15 @@ pub fn csr_to_csc_via_outer(a: &Csr) -> (Csc, ConversionStats) {
     // pre-sorted and the pair is a counting transpose — computed once here,
     // and reused by the symmetry test.
     let t = a.transpose();
-    if a.nrows() == a.ncols() && *a == t {
-        let stats = ConversionStats { skipped_symmetric: true, ..Default::default() };
-        return (a.clone().into_csc_transposed(), stats);
-    }
-    let stats = ConversionStats {
-        entries: a.nnz() as u64,
-        bytes_read: 12 * a.nnz() as u64,
-        bytes_written: 24 * a.nnz() as u64,
-        skipped_symmetric: false,
+    let stats = if a.nrows() == a.ncols() && *a == t {
+        ConversionStats { skipped_symmetric: true, ..Default::default() }
+    } else {
+        ConversionStats {
+            entries: a.nnz() as u64,
+            bytes_read: 12 * a.nnz() as u64,
+            bytes_written: 24 * a.nnz() as u64,
+            skipped_symmetric: false,
+        }
     };
     (t.into_csc_transposed(), stats)
 }

@@ -18,6 +18,9 @@
 //! one scheduler every consumer runs; the simulator derives the identical
 //! plan from sparsity patterns alone (`outerspace_sim::plan`).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use outerspace_sparse::{ops, Csr, Index, SparseError, Value};
 
 /// Merge-tree arity used when no configuration is in play (the paper's
@@ -217,17 +220,29 @@ pub fn huffman_schedule<S>(
     mut merge: impl FnMut(Vec<S>) -> S,
 ) -> Option<S> {
     let ways = ways.max(2);
-    let mut live: Vec<(u64, usize, S)> =
-        leaves.into_iter().enumerate().map(|(seq, s)| (len(&s), seq, s)).collect();
-    let mut seq = live.len();
-    while live.len() > 1 {
-        live.sort_by_key(|&(n, s, _)| (n, s));
-        let take = ways.min(live.len());
-        let merged = merge(live.drain(..take).map(|(_, _, s)| s).collect());
-        live.push((len(&merged), seq, merged));
-        seq += 1;
+    // Streams live in `slots`, indexed by creation order; the heap orders
+    // their (size, creation order) keys, which are unique.
+    let mut slots: Vec<Option<S>> = Vec::new();
+    let mut live: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+    for s in leaves {
+        live.push(Reverse((len(&s), slots.len())));
+        slots.push(Some(s));
     }
-    live.pop().map(|(_, _, s)| s)
+    fn pop<S>(
+        live: &mut BinaryHeap<Reverse<(u64, usize)>>,
+        slots: &mut [Option<S>],
+    ) -> Option<S> {
+        let Reverse((_, seq)) = live.pop()?;
+        slots[seq].take()
+    }
+    while live.len() > 1 {
+        let take = ways.min(live.len());
+        let picked: Vec<S> = (0..take).filter_map(|_| pop(&mut live, &mut slots)).collect();
+        let merged = merge(picked);
+        live.push(Reverse((len(&merged), slots.len())));
+        slots.push(Some(merged));
+    }
+    pop(&mut live, &mut slots)
 }
 
 /// Computes `C = A × B` through the SpArch pipeline with a `ways`-ary merge

@@ -91,22 +91,6 @@ pub trait MachineModel: std::fmt::Debug + Sync {
         let (a_cc, conv) = outer::csr_to_csc_via_outer(a);
         self.spgemm_prepared(cfg, a, &a_cc, b, !conv.skipped_symmetric)
     }
-
-    /// Times the pipeline with `A` already in the machine's preferred
-    /// operand format — the steady state of chained multiplications. No
-    /// preprocessing is charged.
-    ///
-    /// # Errors
-    ///
-    /// As [`MachineModel::spgemm_prepared`].
-    fn spgemm_preconverted(
-        &self,
-        cfg: &OuterSpaceConfig,
-        a_cc: &Csc,
-        b: &Csr,
-    ) -> Result<SpgemmPipeline, SimError> {
-        self.spgemm_prepared(cfg, &a_cc.to_csr(), a_cc, b, false)
-    }
 }
 
 /// The OuterSPACE pipeline (§4–§5 of the paper).
@@ -266,7 +250,7 @@ mod tests {
         for kind in [MachineKind::OuterSpace, MachineKind::SpArch] {
             let model = for_kind(kind);
             let direct = model.spgemm(&cfg, &a, &b).unwrap();
-            let pre = model.spgemm_preconverted(&cfg, &a.to_csc(), &b).unwrap();
+            let pre = model.spgemm_prepared(&cfg, &a, &a.to_csc(), &b, false).unwrap();
             assert!(pre.convert.is_none());
             assert_eq!(pre.result_nnz, direct.result_nnz);
             assert_eq!(pre.multiply, direct.multiply);
